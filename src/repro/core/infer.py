@@ -158,7 +158,8 @@ def run_original_inference(
     (and matches :func:`inference_cost_report`'s Σ|V_v^k| proxy).
     Larger batches merge subgraphs first (training-style batching) and
     hence recover some reuse; results are identical either way."""
-    needs_self = [slice_needs_self_loops(s) for s in slices[:-1]]
+    # the GNN slices of one model share a kind, hence a self-loop need
+    self_loops = slice_needs_self_loops(slices[0])
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         layers = [layer_from_slice(s) for s in slices[:-1]]
@@ -168,10 +169,9 @@ def run_original_inference(
         def flush():
             bg = merge_batch(buf)
             H = bg.X
-            base_raw = bg.edges_raw()
-            base_self = base_raw.with_self_loops()
-            for lyr, self_l in zip(layers, needs_self):
-                H = lyr.forward(H, base_self if self_l else base_raw)
+            adj = bg.adj_list(len(layers), self_loops=self_loops, pruning=False)
+            for lyr, edges in zip(layers, adj):
+                H = lyr.forward(H, edges)
             scores = head.forward(H[bg.target_idx])
             out = pd.DataFrame(
                 {"id": bg.node_ids[bg.target_idx], "score": list(scores)}

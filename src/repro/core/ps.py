@@ -26,33 +26,30 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from ..nn.models import NEEDS_SELF_LOOPS
 from ..nn.optim import Adam
-from .graphfeature import SubgraphRecord
-from .trainer import TrainConfig
-from .vectorize import merge_batch
+from .trainer import GraphTrainer, TrainConfig
 
 
 def _partition_gradients(gf_strings, cfg: TrainConfig, d_in: int, params):
     """Worker body: full gradient of this partition at ``params``.
 
-    Rebuilds the model locally, accumulates grads over mini-batches of
-    ``cfg.batch_size`` records, and yields one (grads, loss·n, n) triple.
+    Rebuilds the trainer locally, accumulates grads over mini-batches
+    of ``cfg.batch_size`` records through the same vectorize step as
+    :class:`GraphTrainer`, and yields one (grads, loss·n, n) triple.
     """
-    records = [SubgraphRecord.from_bytes(s) for s in gf_strings]
+    records = list(gf_strings)
     if not records:
         return
-    model = cfg.build_model(d_in)
+    trainer = GraphTrainer(cfg, d_in)
+    model = trainer.model
     model.set_params(params)
     grads: dict[str, np.ndarray] | None = None
     loss_sum, n = 0.0, 0
     for i in range(0, len(records), cfg.batch_size):
         batch = records[i : i + cfg.batch_size]
-        bg = merge_batch(batch)
-        adj = bg.adj_list(cfg.n_layers, self_loops=NEEDS_SELF_LOOPS[cfg.kind], pruning=cfg.pruning)
-        labels = bg.labels[:, 0].astype(np.int64) if cfg.task == "multiclass" else bg.labels
+        bg, adj = trainer.vectorize(batch)
         model.zero_grad()
-        loss, _ = model.loss_and_grad(bg.X, adj, bg.target_idx, labels)
+        loss, _ = model.loss_and_grad(bg.X, adj, bg.target_idx, trainer.labels(bg))
         # per-record gradient sum: batch loss is a mean over the batch
         bgrads = {k: v * len(batch) for k, v in model.get_grads().items()}
         grads = bgrads if grads is None else {k: grads[k] + bgrads[k] for k in grads}

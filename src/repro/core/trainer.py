@@ -22,9 +22,8 @@ Two trainers share the same numpy models:
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class TrainConfig:
     pipeline: bool = True
     pruning: bool = False
     partition: bool = False
-    n_partitions: int = 16
 
     def build_model(self, d_in: int) -> GNNModel:
         m = GNNModel(
@@ -64,9 +62,7 @@ class TrainConfig:
         return m
 
     def aggregator(self) -> Aggregator:
-        if self.partition:
-            return Aggregator("partitioned", n_partitions=self.n_partitions, threads=True)
-        return Aggregator("add_at")
+        return Aggregator("partitioned" if self.partition else "add_at")
 
 
 # ---------------------------------------------------------------- sources
@@ -113,7 +109,8 @@ class GraphTrainer:
     """AGL's trainer: vectorize GraphFeature batches, run the model.
 
     One instance owns the model and Adam state; workers in the PS
-    variant (:mod:`repro.core.ps`) replicate this logic per partition.
+    variant (:mod:`repro.core.ps`) build one per partition and reuse its
+    :meth:`vectorize` and :meth:`labels`.
     """
 
     def __init__(self, cfg: TrainConfig, d_in: int):
@@ -157,13 +154,14 @@ class GraphTrainer:
         losses, counts = [], []
         for bg, adj in self._vectorized_batches(source, epoch):
             self.model.zero_grad()
-            loss, _ = self.model.loss_and_grad(bg.X, adj, bg.target_idx, self._labels(bg))
+            loss, _ = self.model.loss_and_grad(bg.X, adj, bg.target_idx, self.labels(bg))
             self.opt.step(self.model.get_params(), self.model.get_grads())
             losses.append(loss)
             counts.append(len(bg.target_idx))
         return float(np.average(losses, weights=counts))
 
-    def _labels(self, bg: BatchGraph) -> np.ndarray:
+    def labels(self, bg: BatchGraph) -> np.ndarray:
+        """Batch labels in the form the task's loss expects."""
         if self.cfg.task == "multiclass":
             return bg.labels[:, 0].astype(np.int64)
         return bg.labels
@@ -175,7 +173,7 @@ class GraphTrainer:
     def evaluate(self, records: list[SubgraphRecord]) -> float:
         bg, adj = self.vectorize(records)
         logits = self.model.forward(bg.X, adj, bg.target_idx)
-        return self.model.metric_fn(logits, self._labels(bg))
+        return self.model.metric_fn(logits, self.labels(bg))
 
 
 class WholeGraphTrainer:
@@ -192,14 +190,9 @@ class WholeGraphTrainer:
     def __init__(self, cfg: TrainConfig, bg: BatchGraph, system: str = "dgl_sim"):
         self.cfg, self.bg, self.system = cfg, bg, system
         self.model = cfg.build_model(bg.X.shape[1])
-        if system == "dgl_sim":
-            self.model.set_aggregator(
-                Aggregator("partitioned", n_partitions=cfg.n_partitions, threads=True)
-            )
-        elif system == "pyg_sim":
-            self.model.set_aggregator(Aggregator("add_at"))
-        else:
+        if system not in ("dgl_sim", "pyg_sim"):
             raise ValueError(system)
+        self.model.set_aggregator(Aggregator("partitioned" if system == "dgl_sim" else "add_at"))
         self.opt = Adam(lr=cfg.lr)
         self.self_loops = NEEDS_SELF_LOOPS[cfg.kind]
         self._base = bg.edges_raw().with_self_loops() if self.self_loops else bg.edges_raw()
@@ -211,15 +204,12 @@ class WholeGraphTrainer:
             e = Edges.from_arrays(e.src, e.dst, e.w, e.n_nodes)
         return [e] * self.cfg.n_layers
 
-    def _labels(self) -> np.ndarray:
-        if self.cfg.task == "multiclass":
-            return self.bg.labels[:, 0].astype(np.int64)
-        return self.bg.labels
+    labels = GraphTrainer.labels  # reads only self.cfg, which both trainers hold
 
     def train_epoch(self, epoch: int = 0) -> float:
         self.model.zero_grad()
         loss, _ = self.model.loss_and_grad(
-            self.bg.X, self._adj(), self.bg.target_idx, self._labels()
+            self.bg.X, self._adj(), self.bg.target_idx, self.labels(self.bg)
         )
         self.opt.step(self.model.get_params(), self.model.get_grads())
         return loss

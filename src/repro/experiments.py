@@ -118,7 +118,7 @@ def _labels_for(ds: GraphDataset, ids: np.ndarray, task: str) -> np.ndarray:
 
 
 def _whole_graph(ds: GraphDataset, target_ids: np.ndarray, task: str):
-    # keep labels 2-D here: the trainer's _labels() does task conversion
+    # keep labels 2-D here: the trainer's labels() does task conversion
     Y = ds.label_matrix()[np.searchsorted(ds.nodes["id"].to_numpy(), target_ids)]
     return whole_graph_batch(
         ds.nodes["id"].to_numpy(),

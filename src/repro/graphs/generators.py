@@ -62,8 +62,15 @@ class GraphDataset:
     edges: pd.DataFrame
 
     def to_spark(self, spark: SparkSession) -> tuple[DataFrame, DataFrame]:
+        nodes = self.nodes
+        if spark.conf.get("spark.sql.execution.arrow.pyspark.enabled", "false") != "true":
+            # the row-wise path rejects numpy scalars inside array columns
+            nodes = nodes.assign(
+                feat=[np.asarray(v).tolist() for v in nodes["feat"]],
+                label=[np.asarray(v).tolist() for v in nodes["label"]],
+            )
         return (
-            spark.createDataFrame(self.nodes, schema=NODE_SCHEMA),
+            spark.createDataFrame(nodes, schema=NODE_SCHEMA),
             spark.createDataFrame(self.edges, schema=EDGE_SCHEMA),
         )
 

@@ -4,19 +4,19 @@ A GNN layer aggregates edge values into destination nodes
 (``out[dst[e]] += val[e]``). AGL's *edge partitioning* strategy sorts
 edges by destination so the adjacency splits into destination-disjoint
 partitions that threads can reduce without conflicts. We reproduce the
-CPU trade-off with three kernels:
+CPU trade-off with two kernels behind one reduction loop:
 
-- ``add_at``      — ``np.add.at`` buffered scatter: conflict-safe but
-                    slow (the "conventional framework" kernel; our
-                    DGL stand-in uses it).
+- ``add_at``      — buffered ``ufunc.at`` scatter: conflict-safe but
+                    slow (the "conventional framework" kernel; the
+                    ``pyg_sim`` stand-in and AGL without ``partition``
+                    use it).
 - ``partitioned`` — destination-sorted segment reduction via
-                    ``np.add.reduceat`` over ``t`` destination-disjoint
-                    partitions, optionally on real threads. This is
-                    AGL's edge-partitioning kernel.
-- ``dense``       — materialise a dense |V|×|V| adjacency and matmul
-                    (the PyG-1.3 stand-in's aggregation path).
+                    ``ufunc.reduceat`` over destination-disjoint spans
+                    on a thread pool. This is AGL's edge-partitioning
+                    kernel (AGL with ``partition``, and the ``dgl_sim``
+                    stand-in's fused kernel).
 
-All kernels are exact (no approximation) and are property-tested
+Both kernels are exact (no approximation) and are property-tested
 against each other. Edge arrays are **assumed sorted by ``dst``** for
 ``partitioned`` — :mod:`repro.core.vectorize` guarantees this, exactly
 as the paper states ("Edges in the sparse matrix are sorted by their
@@ -25,9 +25,15 @@ destination nodes").
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+#: Destination-disjoint spans per ``partitioned`` reduction.
+N_PARTITIONS = 16
+#: Threads reducing those spans (numpy releases the GIL in ``reduceat``).
+N_THREADS = 8
 
 _POOL: ThreadPoolExecutor | None = None
 
@@ -35,7 +41,7 @@ _POOL: ThreadPoolExecutor | None = None
 def _pool() -> ThreadPoolExecutor:
     global _POOL
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=8)
+        _POOL = ThreadPoolExecutor(max_workers=N_THREADS)
     return _POOL
 
 
@@ -82,54 +88,55 @@ class Aggregator:
 
     Parameters
     ----------
-    kind : {"add_at", "partitioned", "dense"}
-    n_partitions : number of destination-disjoint partitions for the
-        ``partitioned`` kernel.
-    threads : run partitions on a thread pool (real parallelism for the
-        memory-bound reduction since numpy releases the GIL in
-        ``reduceat``); single-threaded partitioning is still faster
-        than ``np.add.at`` because reduceat is an unbuffered segment sum.
+    kind : {"add_at", "partitioned"}
+    n_partitions : number of destination-disjoint spans the
+        ``partitioned`` kernel reduces on the thread pool.
     """
 
     kind: str = "partitioned"
-    n_partitions: int = 8
-    threads: bool = False
+    n_partitions: int = N_PARTITIONS
+
+    def _reduce(
+        self,
+        ufunc: np.ufunc,
+        edge_vals: Callable[[int, int], np.ndarray],
+        dst: np.ndarray,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """``out[dst[e]] = ufunc(out[dst[e]], vals[e])`` over all edges,
+        where ``edge_vals(lo, hi)`` yields the values of edges [lo, hi).
+
+        ``partitioned`` overwrites each present destination row with the
+        span's ``reduceat`` result, so ``out`` must hold the ufunc's
+        identity there; ``add_at`` folds into ``out`` as it stands.
+        """
+        m = dst.shape[0]
+        if m == 0:
+            return out
+        if self.kind == "add_at":
+            ufunc.at(out, dst, edge_vals(0, m))
+            return out
+        uniq, starts = segment_starts(dst)
+
+        def reduce_span(span: tuple[int, int]) -> None:
+            lo, hi = span
+            s_lo, s_hi = np.searchsorted(starts, span)
+            out[uniq[s_lo:s_hi]] = ufunc.reduceat(edge_vals(lo, hi), starts[s_lo:s_hi] - lo, axis=0)
+
+        spans = edge_partitions(m, starts, self.n_partitions)
+        if len(spans) > 1:
+            list(_pool().map(reduce_span, spans))
+        else:
+            reduce_span(spans[0])
+        return out
 
     def scatter_add(
         self, values: np.ndarray, dst: np.ndarray, n_nodes: int
     ) -> np.ndarray:
         """out[n_nodes, d] with out[dst[e]] += values[e]; dst sorted for
         'partitioned'."""
-        d = values.shape[1] if values.ndim == 2 else 1
-        out = np.zeros((n_nodes, d) if values.ndim == 2 else (n_nodes,), values.dtype)
-        if values.shape[0] == 0:
-            return out
-        if self.kind == "add_at":
-            np.add.at(out, dst, values)
-            return out
-        if self.kind == "dense":
-            # One-hot destination matrix matmul — the dense path.
-            onehot = np.zeros((n_nodes, dst.shape[0]), dtype=values.dtype)
-            onehot[dst, np.arange(dst.shape[0])] = 1.0
-            res = onehot @ (values if values.ndim == 2 else values[:, None])
-            return res if values.ndim == 2 else res[:, 0]
-        uniq, starts = segment_starts(dst)
-
-        def reduce_span(lo: int, hi: int) -> None:
-            s_lo = int(np.searchsorted(starts, lo, side="left"))
-            s_hi = int(np.searchsorted(starts, hi, side="left"))
-            seg = starts[s_lo:s_hi]
-            if seg.size == 0:
-                return
-            out[uniq[s_lo:s_hi]] = np.add.reduceat(values[lo:hi], seg - lo, axis=0)
-
-        spans = edge_partitions(dst.shape[0], starts, self.n_partitions)
-        if self.threads and len(spans) > 1:
-            list(_pool().map(lambda s: reduce_span(*s), spans))
-        else:
-            for lo, hi in spans:
-                reduce_span(lo, hi)
-        return out
+        out = np.zeros((n_nodes,) + values.shape[1:], values.dtype)
+        return self._reduce(np.add, lambda lo, hi: values[lo:hi], dst, out)
 
     def gather_scale_reduce(
         self,
@@ -149,48 +156,18 @@ class Aggregator:
         The ``add_at`` kernel runs the same math unfused + buffered,
         which is what conventional frameworks do.
         """
-        out = np.zeros((n_nodes, M.shape[1]), dtype=M.dtype)
-        m = gather_idx.shape[0]
-        if m == 0:
-            return out
-        if self.kind in ("add_at", "dense"):
-            vals = M[gather_idx]
-            if scale is not None:
-                vals = vals * scale[:, None]
-            np.add.at(out, sorted_dst, vals)
-            return out
-        uniq, starts = segment_starts(sorted_dst)
 
-        def reduce_span(lo: int, hi: int) -> None:
-            s_lo = int(np.searchsorted(starts, lo, side="left"))
-            s_hi = int(np.searchsorted(starts, hi, side="left"))
-            seg = starts[s_lo:s_hi]
-            if seg.size == 0:
-                return
+        def edge_vals(lo: int, hi: int) -> np.ndarray:
             vals = M[gather_idx[lo:hi]]
-            if scale is not None:
-                vals = vals * scale[lo:hi, None]
-            out[uniq[s_lo:s_hi]] = np.add.reduceat(vals, seg - lo, axis=0)
+            return vals if scale is None else vals * scale[lo:hi, None]
 
-        spans = edge_partitions(m, starts, self.n_partitions)
-        if self.threads and len(spans) > 1:
-            list(_pool().map(lambda s: reduce_span(*s), spans))
-        else:
-            for lo, hi in spans:
-                reduce_span(lo, hi)
-        return out
+        out = np.zeros((n_nodes, M.shape[1]), dtype=M.dtype)
+        return self._reduce(np.add, edge_vals, sorted_dst, out)
 
     def segment_max(self, values: np.ndarray, dst: np.ndarray, n_nodes: int) -> np.ndarray:
         """Per-destination max of 1-D edge values (−inf for empty rows)."""
         out = np.full(n_nodes, -np.inf, dtype=values.dtype)
-        if values.shape[0] == 0:
-            return out
-        if self.kind in ("add_at", "dense"):
-            np.maximum.at(out, dst, values)
-            return out
-        uniq, starts = segment_starts(dst)
-        out[uniq] = np.maximum.reduceat(values, starts)
-        return out
+        return self._reduce(np.maximum, lambda lo, hi: values[lo:hi], dst, out)
 
     def segment_softmax(
         self, scores: np.ndarray, dst: np.ndarray, n_nodes: int
@@ -201,8 +178,3 @@ class Aggregator:
         ex = np.exp(scores - mx[dst])
         denom = self.scatter_add(ex[:, None], dst, n_nodes)[:, 0]
         return ex / np.maximum(denom[dst], 1e-30)
-
-
-def gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row gather; trivial but named for symmetry with scatter_add."""
-    return values[idx]

@@ -58,10 +58,8 @@ class Edges:
         )
 
     def in_degrees(self, weighted: bool = False) -> np.ndarray:
-        deg = np.zeros(self.n_nodes)
-        vals = self.w if weighted else np.ones(self.m)
-        np.add.at(deg, self.dst, vals)
-        return deg
+        weights = self.w if weighted else None
+        return np.bincount(self.dst, weights=weights, minlength=self.n_nodes).astype(np.float64, copy=False)
 
     def scatter_to_dst(self, agg: Aggregator, values: np.ndarray) -> np.ndarray:
         """out[dst[e]] += values[e] — values aligned with this edge order."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .aggregators import Aggregator, gather
+from .aggregators import Aggregator
 from .edges import Edges
 
 
@@ -184,8 +184,8 @@ class GATLayer(Layer):
             dout = dZ[:, h * self.d_out : (h + 1) * self.d_out]
             z, alpha, pre = hc["z"], hc["alpha"], hc["pre"]
             # weighted-sum backward: dz[s] += α_e dout[t];  g_e = dout[t]·z_s
-            dout_t = gather(dout, edges.dst)
-            z_s = gather(z, edges.src)
+            dout_t = dout[edges.dst]
+            z_s = z[edges.src]
             g = np.einsum("ed,ed->e", dout_t, z_s)
             dz = edges.aggregate_rev(self.agg, dout, alpha)
             # softmax backward within each destination segment
@@ -193,7 +193,7 @@ class GATLayer(Layer):
             dlre = alpha * (g - seg_dot[edges.dst])
             dpre = dlre * np.where(pre > 0, 1.0, self.LEAK)
             # score backward: pre = (z W? no) = z_s·a_s + z_t·a_d
-            z_t = gather(z, edges.dst)
+            z_t = z[edges.dst]
             self.grads[f"as{h}"] += dpre @ z_s
             self.grads[f"ad{h}"] += dpre @ z_t
             dz += edges.scatter_to_src(self.agg, dpre[:, None] * self.params[f"as{h}"][None, :])

@@ -1,16 +1,19 @@
-"""Kernel equivalence: add_at ≡ partitioned ≡ dense, plus the
+"""Kernel equivalence: add_at ≡ partitioned, plus the
 destination-disjoint partition invariants of the edge-partitioning
 strategy (§3.3.2)."""
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import aggregators
 from repro.nn.aggregators import Aggregator, edge_partitions, segment_starts
 
-KINDS = ["add_at", "partitioned", "dense"]
+KINDS = ["add_at", "partitioned"]
 
 
 def _sorted_edges(rng, n_nodes, m):
@@ -44,13 +47,19 @@ def test_scatter_add_1d(kind):
 
 @pytest.mark.parametrize("threads", [False, True])
 @pytest.mark.parametrize("t", [1, 2, 3, 8, 64])
-def test_partitioned_any_partition_count(t, threads):
+def test_partitioned_any_partition_count(t, threads, monkeypatch):
+    """Any span count gives the add_at result, whether the spans reduce
+    one after another (a one-worker pool) or concurrently (the module's
+    ``N_THREADS`` pool)."""
+    if not threads:
+        serial = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(aggregators, "_POOL", serial)
     rng = np.random.default_rng(t)
     dst, vals = _sorted_edges(rng, 20, 300)
     ref = Aggregator(kind="add_at").scatter_add(vals, dst, 20)
-    got = Aggregator(kind="partitioned", n_partitions=t, threads=threads).scatter_add(
-        vals, dst, 20
-    )
+    got = Aggregator(kind="partitioned", n_partitions=t).scatter_add(vals, dst, 20)
+    if not threads:
+        serial.shutdown()
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -129,6 +138,15 @@ def test_property_partitioned_equals_add_at(args):
     dst = np.sort(np.array(dst_list, dtype=np.int64))
     rng = np.random.default_rng(len(dst_list))
     vals = rng.standard_normal((dst.size, 3))
-    ref = Aggregator(kind="add_at").scatter_add(vals, dst, n)
-    got = Aggregator(kind="partitioned", n_partitions=t).scatter_add(vals, dst, n)
-    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+    M = rng.standard_normal((n, 3))
+    gather_idx = rng.integers(0, n, dst.size)
+    scale = rng.standard_normal(dst.size)
+    ref_agg = Aggregator(kind="add_at")
+    got_agg = Aggregator(kind="partitioned", n_partitions=t)
+    for call in (
+        lambda a: a.scatter_add(vals, dst, n),
+        lambda a: a.gather_scale_reduce(M, gather_idx, scale, dst, n),
+        lambda a: a.gather_scale_reduce(M, gather_idx, None, dst, n),
+        lambda a: a.segment_max(vals[:, 0], dst, n),
+    ):
+        np.testing.assert_allclose(call(got_agg), call(ref_agg), rtol=1e-10, atol=1e-10)

@@ -125,6 +125,23 @@ def test_to_spark_roundtrip_counts(spark, small):
     np.testing.assert_allclose(np.array(row["feat"]), ds.feat_matrix()[0])
 
 
+def test_to_spark_without_arrow(spark, small):
+    """The row-by-row (non-Arrow) createDataFrame path accepts the
+    generators' numpy feature/label arrays too."""
+    ds = small["ppi_lite"]
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "false")
+    try:
+        nodes_df, edges_df = ds.to_spark(spark)
+        rows = sorted(nodes_df.collect(), key=lambda r: r["id"])
+        assert edges_df.count() == len(ds.edges)
+    finally:
+        spark.conf.set(key, old)
+    np.testing.assert_array_equal(np.array([r["feat"] for r in rows]), ds.feat_matrix())
+    np.testing.assert_array_equal(np.array([r["label"] for r in rows]), ds.label_matrix())
+
+
 def test_degree_table_matches_duckdb(spark, small):
     ds = small["uug_lite"]
     _, edges_df = ds.to_spark(spark)

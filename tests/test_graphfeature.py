@@ -1,5 +1,5 @@
-"""GraphFeature codec + storage: flat-string round trip, parquet
-round trip, decoded record integrity."""
+"""GraphFeature codec + storage: binary round trip, parquet round
+trip, decoded record integrity."""
 from __future__ import annotations
 
 import numpy as np
@@ -37,24 +37,6 @@ def _sample_record():
     )
 
 
-def test_flat_string_roundtrip():
-    r = _sample_record()
-    r2 = SubgraphRecord.from_flat_string(r.to_flat_string())
-    assert r2.root == r.root
-    np.testing.assert_array_equal(r2.node_ids, r.node_ids)
-    np.testing.assert_array_equal(r2.dists, r.dists)
-    np.testing.assert_allclose(r2.feats, r.feats)
-    np.testing.assert_array_equal(r2.e_src, r.e_src)
-    np.testing.assert_array_equal(r2.e_dst, r.e_dst)
-    np.testing.assert_allclose(r2.e_w, r.e_w)
-    np.testing.assert_allclose(r2.label, r.label)
-
-
-def test_flat_string_is_compact_json():
-    s = _sample_record().to_flat_string()
-    assert " " not in s and s.startswith("{")
-
-
 def test_bytes_roundtrip():
     r = _sample_record()
     r2 = SubgraphRecord.from_bytes(r.to_bytes())
@@ -81,38 +63,6 @@ def test_bytes_roundtrip_empty_edges():
     r2 = SubgraphRecord.from_bytes(r.to_bytes())
     assert r2.n_edges == 0 and r2.label.size == 0
     np.testing.assert_allclose(r2.feats, r.feats)
-
-
-def test_bytes_much_smaller_than_json():
-    rng = np.random.default_rng(0)
-    n, f, m = 50, 32, 200
-    r = SubgraphRecord(
-        root=0,
-        label=np.array([1.0]),
-        node_ids=np.arange(n),
-        dists=np.zeros(n, dtype=np.int64),
-        feats=rng.standard_normal((n, f)),
-        e_src=rng.integers(0, n, m),
-        e_dst=rng.integers(0, n, m),
-        e_w=rng.random(m),
-    )
-    # the whole point of the binary codec: decode-friendly AND smaller
-    assert len(r.to_bytes()) < 0.5 * len(r.to_flat_string().encode())
-
-
-def test_empty_edges_record_roundtrip():
-    r = SubgraphRecord(
-        root=0,
-        label=np.array([0.0]),
-        node_ids=np.array([0]),
-        dists=np.array([0]),
-        feats=np.array([[1.0]]),
-        e_src=np.empty(0, np.int64),
-        e_dst=np.empty(0, np.int64),
-        e_w=np.empty(0),
-    )
-    r2 = SubgraphRecord.from_flat_string(r.to_flat_string())
-    assert r2.n_edges == 0 and r2.n_nodes == 1
 
 
 def test_collect_records_decodes_rows(gf):
