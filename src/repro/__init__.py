@@ -1,0 +1,1 @@
+from . import _zipcache  # noqa: F401  (installs the zip-import cache fix)

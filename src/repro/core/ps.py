@@ -10,9 +10,10 @@ data-parallel — the paper's central claim. The PS maps onto Spark as:
   receive the broadcast parameters, replay their partition through the
   same :class:`~repro.core.trainer.GraphTrainer` vectorize/forward/
   backward code, and emit summed gradients.
-- **synchronisation** = ``treeReduce`` of (grad-sum, loss-sum, count);
-  one driver update per round (synchronous PS — the substitution for
-  the paper's async PS is documented in DESIGN.md).
+- **synchronisation** = one ``mapInArrow`` job per round, its
+  per-partition (grad-sum, loss-sum, count) triples summed on the
+  driver; one driver update per round (synchronous PS — the
+  substitution for the paper's async PS is documented in DESIGN.md).
 
 A test asserts the reduced distributed gradient is numerically equal to
 the single-process gradient over the same records, which is the data-
@@ -21,10 +22,14 @@ rests on.
 """
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+import pyarrow as pa
+from pyspark.sql import DataFrame
+from pyspark.sql.types import BinaryType, StructField, StructType
 
 from ..nn.optim import Adam
 from .trainer import GraphTrainer, TrainConfig
@@ -64,6 +69,9 @@ def _merge(a, b):
     return ({k: ga[k] + gb[k] for k in ga}, la + lb, na + nb)
 
 
+_TRIPLE_SCHEMA = StructType([StructField("triple", BinaryType())])
+
+
 @dataclass
 class PSResult:
     params: dict
@@ -73,15 +81,27 @@ class PSResult:
 def distributed_gradient(
     gf: DataFrame, cfg: TrainConfig, d_in: int, params: dict, n_workers: int
 ) -> tuple[dict, float]:
-    """One PS round: broadcast → worker grads → treeReduce. Returns the
-    *mean* gradient over all records and the mean loss."""
+    """One PS round: broadcast → worker grads → sum on the driver.
+    Returns the *mean* gradient over all records and the mean loss.
+
+    The repartition stays in the JVM and the workers read their records
+    as Arrow batches, so no row is pickled or reshuffled through Python.
+    """
     sc = gf.sparkSession.sparkContext
     bc = sc.broadcast(params)
-    rdd = gf.select("gf").rdd.map(lambda r: r["gf"]).repartition(n_workers)
-    grads, loss_sum, n = rdd.mapPartitions(
-        lambda it: _partition_gradients(it, cfg, d_in, bc.value)
-    ).treeReduce(_merge)
-    bc.unpersist()
+
+    def worker(batches):
+        records = (buf for b in batches for buf in b.column("gf").to_pylist())
+        for triple in _partition_gradients(records, cfg, d_in, bc.value):
+            yield pa.RecordBatch.from_pylist([{"triple": pickle.dumps(triple)}])
+
+    try:
+        rows = gf.select("gf").repartition(n_workers).mapInArrow(worker, _TRIPLE_SCHEMA).collect()
+    finally:
+        bc.unpersist()
+    if not rows:
+        raise ValueError("distributed_gradient: no GraphFeature records reached the workers")
+    grads, loss_sum, n = reduce(_merge, (pickle.loads(r["triple"]) for r in rows))
     return {k: v / n for k, v in grads.items()}, loss_sum / n
 
 
@@ -96,6 +116,10 @@ def train_parameter_server(
     """Synchronous PS training: one global Adam step per epoch, computed
     from the reduced full-batch gradient. ``gf`` is the (root, gf-string)
     frame the Storing phase produced."""
+    # Cache the caller's frame once and repartition it in the JVM on
+    # every round: persisting the repartitioned frame per call (memory
+    # or DISK_ONLY) or re-reading the parquet each round made the Spark
+    # JVM's RSS grow call after call; this stays flat.
     gf = gf.cache()
     model = cfg.build_model(d_in)  # driver-side canonical params
     opt = Adam(lr=cfg.lr)

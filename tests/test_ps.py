@@ -72,3 +72,16 @@ def test_ps_converges_same_regardless_of_workers(spark, gf_strings):
 def test_partition_gradients_empty_partition_yields_nothing():
     cfg = _cfg()
     assert list(_partition_gradients(iter([]), cfg, 4, {})) == []
+
+
+def test_empty_frame_raises_clear_error(spark, gf_strings):
+    """No records anywhere: both entry points name the cause instead of
+    failing inside the reduction."""
+    ds, gf = gf_strings
+    empty = spark.createDataFrame([], gf.schema)
+    cfg = _cfg()
+    params = cfg.build_model(ds.feat_dim).get_params()
+    with pytest.raises(ValueError, match="no GraphFeature records reached the workers"):
+        distributed_gradient(empty, cfg, ds.feat_dim, params, 2)
+    with pytest.raises(ValueError, match="no GraphFeature records reached the workers"):
+        train_parameter_server(empty, cfg, ds.feat_dim, epochs=1, n_workers=2)
